@@ -22,7 +22,7 @@
 //! into fully maintained state, so the maintained region tracks the
 //! growing database.
 
-use crate::boat::{Boat, BoatFit};
+use crate::boat::Boat;
 use crate::config::BoatConfig;
 use crate::stats::BoatRunStats;
 use crate::work::{Resolution, WorkTree};
@@ -292,11 +292,4 @@ impl<I: Impurity + Clone> BoatModel<I> {
     pub fn parked_tuples(&self) -> u64 {
         self.work.parked_total()
     }
-}
-
-/// Convenience wrapper: run a full rebuild with the same algorithm on a
-/// source (used by the dynamic-environment benches for the "repeated
-/// re-build" baseline).
-pub fn rebuild<I: Impurity + Clone>(algo: &Boat<I>, source: &dyn RecordSource) -> Result<BoatFit> {
-    algo.fit(source)
 }

@@ -458,7 +458,8 @@ impl<I: Impurity + Clone + Send + 'static, H> StreamingBoat<I, H> {
         &self.metrics
     }
 
-    /// Segment files the WAL has written so far.
+    /// Segment files holding every operation appended before this call,
+    /// waiting until the WAL appender has made those operations durable.
     pub fn wal_segments(&self) -> Vec<PathBuf> {
         self.wal
             .as_ref()

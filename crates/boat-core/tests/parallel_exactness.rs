@@ -6,16 +6,19 @@
 //! counts, parked/spilled tuples, verification outcomes, input I/O) must be
 //! identical, because verification is supposed to see bit-identical state.
 //! This suite sweeps a grid of generator functions × noise levels ×
-//! `cleanup_threads ∈ {1, 2, 4, 8}` against both oracles.
+//! `cleanup_threads ∈ {1, 2, 4, 8, 0 (auto)}` against both oracles, plus
+//! class-sorted data whose chunks each hold a single class.
 
 use boat_core::{reference_tree, Boat, BoatConfig, BoatRunStats};
 use boat_data::dataset::RecordSource;
-use boat_data::IoStats;
+use boat_data::{IoStats, MemoryDataset};
 use boat_datagen::{GeneratorConfig, LabelFunction};
 use boat_tree::{Gini, Tree};
 
-/// Thread counts required by the acceptance criteria.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Worker counts swept by every grid point; `0` resolves to the machine's
+/// available parallelism. The serial count comes first: it is the baseline
+/// the others are compared against.
+const THREADS: [usize; 5] = [1, 2, 4, 8, 0];
 
 fn grid_config(seed: u64) -> BoatConfig {
     BoatConfig {
@@ -70,13 +73,18 @@ impl DeterministicStats {
 /// Fit BOAT at every thread count, assert every tree equals both the serial
 /// tree and the greedy reference, and that deterministic stats agree.
 fn check_grid_point(gen: &GeneratorConfig, n: u64, base: BoatConfig) {
-    let source = gen.source(n);
+    check_source(|| gen.source(n), base);
+}
+
+/// [`check_grid_point`] over any source; `make_source` is called once per
+/// fit so `stats.io` counts that run only.
+fn check_source<S: RecordSource>(make_source: impl Fn() -> S, base: BoatConfig) {
+    let source = make_source();
     let reference = reference_tree(&source, Gini, base.limits).expect("reference fit");
 
     let mut serial: Option<(Tree, DeterministicStats)> = None;
     for threads in THREADS {
-        // A fresh source per run so `stats.io` counts this run only.
-        let source = gen.source(n);
+        let source = make_source();
         let cfg = base.clone().with_cleanup_threads(threads);
         let fit = Boat::new(cfg).fit(&source).expect("boat fit");
         assert_eq!(
@@ -115,6 +123,15 @@ fn parallel_exact_on_f1_grid() {
             grid_config(2_100 + i as u64),
         );
     }
+    // Sorted by class: every chunk but the one at the class boundary holds
+    // a single class, so most workers' shards see degenerate statistics.
+    let gen = GeneratorConfig::new(LabelFunction::F1).with_seed(21);
+    let mut records = gen.generate_vec(5_000);
+    records.sort_by_key(|r| r.label());
+    check_source(
+        || MemoryDataset::new(gen.schema(), records.clone()),
+        grid_config(2_102),
+    );
 }
 
 #[test]

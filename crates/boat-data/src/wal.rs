@@ -180,6 +180,9 @@ enum WalMsg {
         records: Vec<Record>,
     },
     Marker(u64),
+    /// Acknowledged once every earlier op is written, fsynced, and its
+    /// segment registered in [`Shared::segments`].
+    Sync(SyncSender<()>),
     Shutdown,
 }
 
@@ -339,8 +342,17 @@ impl Wal {
         }
     }
 
-    /// The segment files written so far (in creation order).
+    /// The segment files (in creation order) holding every operation
+    /// appended before this call. Blocks until the appender has made those
+    /// operations durable: it opens segments lazily, so reading the list
+    /// without that handshake could miss the segment of an op still queued.
     pub fn segment_paths(&self) -> Vec<PathBuf> {
+        let (ack_tx, ack_rx) = sync_channel(1);
+        // A failed send or a dropped ack means the appender has stopped
+        // (error or shutdown); the list is then final as it stands.
+        if self.tx.send(WalMsg::Sync(ack_tx)).is_ok() {
+            let _ = ack_rx.recv();
+        }
         self.shared.segments.lock().unwrap().clone()
     }
 
@@ -420,6 +432,7 @@ fn appender_loop(
     let mut seq: u32 = 0;
     let mut total_bytes: u64 = 0;
     let mut pending: Vec<WalEvent> = Vec::new();
+    let mut syncs: Vec<SyncSender<()>> = Vec::new();
     let mut batch: Vec<WalMsg> = Vec::new();
     let mut shutting = false;
     'outer: while !shutting {
@@ -509,6 +522,7 @@ fn appender_loop(
                     }));
                 }
                 WalMsg::Marker(token) => pending.push(WalEvent::Marker(token)),
+                WalMsg::Sync(ack) => syncs.push(ack),
                 WalMsg::Shutdown => shutting = true,
             }
         }
@@ -524,6 +538,9 @@ fn appender_loop(
                     metrics.counter("data.wal.fsync_batches").inc();
                 }
             }
+        }
+        for ack in syncs.drain(..) {
+            let _ = ack.send(());
         }
         // Forward only once durable. A closed forward channel is fine —
         // the log keeps accepting and persisting appends.
@@ -725,6 +742,11 @@ mod tests {
         a.append_insert(vec![rec(1.0), rec(2.0)]).unwrap();
         a.append_delete(vec![rec(1.0)]).unwrap();
         a.append_insert(vec![rec(3.0)]).unwrap();
+        // The appender opens segments lazily; the list must still cover
+        // (durably) every op appended before the call.
+        let live = wal.segment_paths();
+        assert_eq!(live.len(), 1);
+        assert_eq!(replay_segments(&live, &schema(), &reg).unwrap().len(), 3);
         let summary = wal.finish().unwrap();
         assert_eq!(summary.segments.len(), 1);
         let events = drain.join().unwrap();
