@@ -1,5 +1,5 @@
 //! Serving-path benchmark: interpreted `Tree::predict` vs the compiled
-//! SoA tree, scalar and batched, plus the sharded [`boat_serve::ServeEngine`]
+//! SoA tree's scalar `predict`, plus the sharded [`boat_serve::ServeEngine`]
 //! swept across worker counts, with end-to-end latency percentiles and
 //! snapshot-swap latency under scoring load.
 //!
@@ -12,7 +12,7 @@
 //! speedups below are only meaningful because the outputs are
 //! bit-identical. Gates:
 //!
-//! * `--min-speedup` (default 2.0): the batched compiled path must beat
+//! * `--min-speedup` (default 2.0): compiled scalar `predict` must beat
 //!   per-record interpreted scoring by at least this factor.
 //! * `--min-engine-speedup` (default 0.0 = off): the **single-worker**
 //!   engine path (zero-copy `submit_shared`, engine reused across reps)
@@ -29,9 +29,7 @@ use boat_bench::{materialize_cached, Args, BenchReport, Table};
 use boat_core::{Boat, BoatConfig};
 use boat_data::{IoStats, Record, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
-use boat_serve::{
-    compile, publish_on_maintain, ModelHandle, RecordBlock, ServeConfig, ServeEngine,
-};
+use boat_serve::{compile, publish_on_maintain, ModelHandle, ServeConfig, ServeEngine};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,12 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tree has serving-realistic depth (a model is trained once on bulk
     // data and then scored on traffic — the scored workload is `tuples`).
     let train = args.get::<u64>("train", n * 4);
-    let batch = args.get::<usize>("batch", 8_000).max(1);
-    // Engine micro-batch: smaller than the offline batch so the latency
-    // histogram collects ~a hundred per-batch samples per sweep, but not
-    // so small that the batched scorer's per-batch fixed cost dominates
-    // (at 512-row chunks even the offline batched path loses ~40% of its
-    // throughput to per-batch setup).
+    // Engine micro-batch: small enough that the latency histogram collects
+    // a few samples per sweep, large enough that per-ticket overhead does
+    // not dominate the throughput comparison.
     let engine_batch = args.get::<usize>("engine-batch", 4_000).max(1);
     let worker_counts: Vec<usize> = args
         .get_str("worker-counts", "1,2,4")
@@ -167,30 +162,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<u16>>()
     });
 
-    // --- Diagnostic: transposition alone (the batched path's fixed cost).
-    let (t_transpose, _) = best_of(reps, inner, || {
-        let mut rows = 0usize;
-        for chunk in probes.chunks(batch) {
-            rows += RecordBlock::from_records(&schema, chunk).n_rows();
-        }
-        rows
-    });
-
-    // --- 3. Compiled batched (transposition cost included — this is the
-    //        end-to-end cost of scoring row-oriented micro-batches).
-    let mut scratch = boat_serve::BatchScratch::default();
-    let mut labels = Vec::new();
-    let (t_batched, batched) = best_of(reps, inner, || {
-        let mut preds = Vec::with_capacity(n_probes);
-        for chunk in probes.chunks(batch) {
-            let block = RecordBlock::from_records(&schema, chunk);
-            compiled.predict_batch_into(&block, &mut scratch, &mut labels);
-            preds.extend_from_slice(&labels);
-        }
-        preds
-    });
-
-    // --- 4. Sharded serving engine, swept across worker counts. The
+    // --- 3. Sharded serving engine, swept across worker counts. The
     //        engine is created once per count (startup is not the thing
     //        being measured) and batches go in via zero-copy
     //        `submit_shared`, the replay-style hot path. Latency
@@ -247,16 +219,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Differential gate: the offline paths must agree exactly (the
     //     per-worker-count engine sweeps asserted above, inline).
     assert_eq!(interp, scalar, "compiled scalar diverges from interpreted");
-    assert_eq!(
-        interp, batched,
-        "compiled batched diverges from interpreted"
-    );
     println!(
-        "all {n_probes} predictions identical across scalar/batched/engine \
+        "all {n_probes} predictions identical across scalar/engine \
          at every worker count\n"
     );
 
-    // --- 5. Snapshot swaps under load: publish repeatedly while an
+    // --- 4. Snapshot swaps under load: publish repeatedly while an
     //        engine keeps scoring; measures publish latency (the write
     //        side of the epoch swap) with a reader hammering the handle.
     let epoch_before = handle.epoch();
@@ -302,17 +270,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Report.
     let speedup_scalar = rps(n_probes, t_scalar) / rps(n_probes, t_interp);
-    let speedup_batched = rps(n_probes, t_batched) / rps(n_probes, t_interp);
     let mut table = Table::new(&["path", "time", "records/s", "vs interpreted"]);
     for (name, t, s) in [
         ("interpreted per-record".to_string(), t_interp, 1.0),
         ("compiled per-record".to_string(), t_scalar, speedup_scalar),
-        (
-            "transpose only (diagnostic)".to_string(),
-            t_transpose,
-            rps(n_probes, t_transpose) / rps(n_probes, t_interp),
-        ),
-        ("compiled batched".to_string(), t_batched, speedup_batched),
     ] {
         table.row(vec![
             name,
@@ -349,8 +310,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Gates.
     assert!(
-        speedup_batched >= min_speedup,
-        "batched compiled speedup {speedup_batched:.2}x is below the --min-speedup \
+        speedup_scalar >= min_speedup,
+        "compiled scalar speedup {speedup_scalar:.2}x is below the --min-speedup \
          gate of {min_speedup:.2}x"
     );
     // The first requested worker count anchors the engine gates (the
@@ -380,7 +341,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report
         .field_u64("tuples", n)
         .field_u64("train_tuples", train)
-        .field_u64("batch", batch as u64)
         .field_u64("engine_batch", engine_batch as u64)
         .field_str(
             "worker_counts",
@@ -396,12 +356,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .field_u64("compiled_bytes", compiled.table_size_bytes() as u64)
         .field_f64("interpreted_rps", rps(n_probes, t_interp))
         .field_f64("compiled_scalar_rps", rps(n_probes, t_scalar))
-        .field_f64("transpose_rps", rps(n_probes, t_transpose))
-        .field_f64("compiled_batched_rps", rps(n_probes, t_batched))
         // Back-compat headline fields: the lead worker count's numbers.
         .field_f64("engine_rps", rps(n_probes, lead.time))
         .field_f64("speedup_scalar", speedup_scalar)
-        .field_f64("speedup_batched", speedup_batched)
         .field_f64("speedup_engine", lead_speedup)
         .field_u64("latency_p50_ns", lead.p50_ns)
         .field_u64("latency_p99_ns", lead.p99_ns)

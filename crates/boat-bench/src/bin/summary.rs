@@ -69,8 +69,7 @@ fn report_headline(bench: &str, fields: &[(String, String)]) -> String {
     };
     match bench {
         "serve" => format!(
-            "batched {}x / scalar {}x / engine {}x vs interpreted, {} tree nodes",
-            fmt1(get("speedup_batched")),
+            "scalar {}x / engine {}x vs interpreted, {} tree nodes",
             fmt1(get("speedup_scalar")),
             fmt1(get("speedup_engine")),
             get("tree_nodes").unwrap_or_else(|| "?".into()),

@@ -13,7 +13,7 @@
 //! ## Exactness
 //!
 //! Compilation is required to be **prediction-exact**: for every record,
-//! [`CompiledTree::predict`] and [`CompiledTree::predict_batch`] return
+//! [`CompiledTree::predict`] — the only compiled scoring path — returns
 //! exactly what [`Tree::predict`] returns — including the pinned
 //! edge-value contract (`boat_tree::model::Predicate::matches`): NaN
 //! numeric values fail `X ≤ x` and route right; category codes absent
@@ -28,7 +28,6 @@
 //! compare equal under `Tree`'s structural equality compile to
 //! byte-identical tables ([`CompiledTree::table_bytes`]).
 
-use crate::block::{Column, RecordBlock};
 use boat_data::Record;
 use boat_tree::{NodeKind, Predicate, Tree};
 
@@ -74,25 +73,12 @@ pub struct CompiledTree {
     pub(crate) right: Vec<u32>,
     /// Majority class label per leaf (`0` for internal nodes).
     pub(crate) label: Vec<u16>,
-    /// Attributes referenced by at least one `Num` node (sorted, deduped).
-    /// Derived from the tables; lets the batch entry point validate the
-    /// block/tree agreement **once** so the per-row loops can skip bounds
-    /// checks (see `predict_batch_into`).
-    num_attrs_used: Vec<u16>,
-    /// Attributes referenced by at least one `Cat` node (sorted, deduped).
-    cat_attrs_used: Vec<u16>,
-    /// Preorder index of the first leaf (every tree has one). Idle lanes
-    /// of the fixed-width finisher park here: a `Leaf` op loads no
-    /// column and advances nowhere, so a parked lane is a no-op that
-    /// keeps the lane loop's trip count fixed. Derived (not serialized
-    /// in [`CompiledTree::table_bytes`], like the `*_attrs_used` sets).
-    first_leaf: u32,
     /// Canonical 13-byte provenance record per node
     /// ([`boat_proof::NodeRecord`] wire format), emitted during lowering
     /// so Merkle-committing the tree needs no second lowering pass —
     /// `crate::provenance::tree_commit` hands these straight to
-    /// [`boat_proof::TreeCommit::from_parts`]. Derived, like
-    /// `*_attrs_used` (a pure function of the tables).
+    /// [`boat_proof::TreeCommit::from_parts`]. Derived (a pure function
+    /// of the tables; not serialized in [`CompiledTree::table_bytes`]).
     pub(crate) records: Vec<u8>,
     /// Exclusive end of each node's preorder span (its subtree extent) —
     /// the reuse-diff geometry for incremental recommit. Derived.
@@ -124,9 +110,6 @@ impl CompiledTree {
             cat_mask: Vec::with_capacity(n),
             right: Vec::with_capacity(n),
             label: Vec::with_capacity(n),
-            num_attrs_used: Vec::new(),
-            cat_attrs_used: Vec::new(),
-            first_leaf: 0,
             records: Vec::with_capacity(n * boat_proof::NODE_RECORD_LEN),
             span: Vec::new(),
         };
@@ -184,22 +167,6 @@ impl CompiledTree {
                 _ => out.span[out.right[i] as usize],
             };
         }
-        for (i, &op) in out.ops.iter().enumerate() {
-            match op {
-                NodeOp::Num => out.num_attrs_used.push(out.split_attr[i]),
-                NodeOp::Cat => out.cat_attrs_used.push(out.split_attr[i]),
-                NodeOp::Leaf => {}
-            }
-        }
-        out.num_attrs_used.sort_unstable();
-        out.num_attrs_used.dedup();
-        out.cat_attrs_used.sort_unstable();
-        out.cat_attrs_used.dedup();
-        out.first_leaf = out
-            .ops
-            .iter()
-            .position(|&op| op == NodeOp::Leaf)
-            .expect("every tree has at least one leaf") as u32;
         out
     }
 
@@ -249,266 +216,6 @@ impl CompiledTree {
         }
     }
 
-    /// Walk the rows of `rows` from `node` to their leaves **in
-    /// lockstep**, `LANES` rows at a time: every not-yet-finished row in
-    /// a block advances one level per sweep. The row walks are mutually
-    /// independent, so the interleaving keeps several table/column loads
-    /// in flight at once (memory-level parallelism) instead of
-    /// serializing one row's root-to-leaf chain before starting the
-    /// next — the finisher for frontier ranges too small to be worth
-    /// another partition pass.
-    ///
-    /// The lane loop is **fixed-width**: every sweep iterates all
-    /// `LANES` lanes with a compile-time trip count (no `m` bound, no
-    /// early exit inside the loop), which lets the compiler fully unroll
-    /// it and keep every lane's loads in flight. Short blocks pad their
-    /// idle lanes with [`CompiledTree::first_leaf`] — a parked lane hits
-    /// the `Leaf` arm, loads nothing, and stays put, so padding costs
-    /// one tag dispatch per sweep instead of a variable bound.
-    /// # Safety
-    /// Caller must guarantee what `predict_batch_into` validates up
-    /// front: every attribute a `Num` node splits on indexes a
-    /// `num_cols` slice (and `Cat` a `cat_cols` slice) at least as long
-    /// as `out`, and every `rows` value is `< out.len()` (with
-    /// `out.len() >= 1`). Node indices are in bounds by construction of
-    /// [`CompiledTree::compile`].
-    unsafe fn descend_interleaved(
-        &self,
-        num_cols: &[&[f64]],
-        cat_cols: &[&[u32]],
-        node: usize,
-        rows: &[u32],
-        out: &mut [u16],
-    ) {
-        const LANES: usize = 8;
-        for block in rows.chunks(LANES) {
-            let m = block.len();
-            // Idle lanes park on the first leaf with row id 0 (never
-            // dereferenced — the Leaf arm loads no column; row 0 exists
-            // regardless, `out` is non-empty).
-            let mut cur = [self.first_leaf; LANES];
-            let mut row = [0u32; LANES];
-            for i in 0..m {
-                *cur.get_unchecked_mut(i) = node as u32;
-                *row.get_unchecked_mut(i) = *block.get_unchecked(i);
-            }
-            loop {
-                let mut all_leaf = true;
-                for i in 0..LANES {
-                    let node = *cur.get_unchecked(i) as usize;
-                    match *self.ops.get_unchecked(node) {
-                        NodeOp::Leaf => {}
-                        NodeOp::Num => {
-                            all_leaf = false;
-                            let a = *self.split_attr.get_unchecked(node) as usize;
-                            let v = *num_cols
-                                .get_unchecked(a)
-                                .get_unchecked(*row.get_unchecked(i) as usize);
-                            *cur.get_unchecked_mut(i) = if v <= *self.threshold.get_unchecked(node)
-                            {
-                                node as u32 + 1
-                            } else {
-                                *self.right.get_unchecked(node)
-                            };
-                        }
-                        NodeOp::Cat => {
-                            all_leaf = false;
-                            let a = *self.split_attr.get_unchecked(node) as usize;
-                            let c = *cat_cols
-                                .get_unchecked(a)
-                                .get_unchecked(*row.get_unchecked(i) as usize);
-                            *cur.get_unchecked_mut(i) =
-                                if (*self.cat_mask.get_unchecked(node) >> c) & 1 != 0 {
-                                    node as u32 + 1
-                                } else {
-                                    *self.right.get_unchecked(node)
-                                };
-                        }
-                    }
-                }
-                if all_leaf {
-                    break;
-                }
-            }
-            for i in 0..m {
-                *out.get_unchecked_mut(*row.get_unchecked(i) as usize) =
-                    *self.label.get_unchecked(*cur.get_unchecked(i) as usize);
-            }
-        }
-    }
-
-    /// Score a columnar batch, attribute-major.
-    ///
-    /// Instead of walking root→leaf once per record (touching every level's
-    /// scattered state per row), the batch is partitioned *node by node*:
-    /// each compiled node sees the contiguous slice of row ids that reached
-    /// it and scans exactly **one** attribute column for all of them before
-    /// any child runs. Work is proportional to total path length — the same
-    /// as per-record traversal — but each step is a tight loop over one
-    /// dense column, which is the layout this workspace's columnar engines
-    /// have repeatedly measured as the winning shape. Once a frontier
-    /// range shrinks below a small cutoff (deep tails of bushy trees,
-    /// where per-node partition bookkeeping would dominate), the
-    /// remaining rows finish with a direct column-walk to their leaves.
-    ///
-    /// Returns one label per row, in input order. Predictions are exactly
-    /// [`CompiledTree::predict`] per record.
-    ///
-    /// Allocates fresh working buffers; steady-state callers (the serve
-    /// engine's workers, benchmark loops) should hold a [`BatchScratch`]
-    /// and call [`CompiledTree::predict_batch_into`] instead.
-    pub fn predict_batch(&self, block: &RecordBlock) -> Vec<u16> {
-        let mut scratch = BatchScratch::default();
-        let mut labels = Vec::new();
-        self.predict_batch_into(block, &mut scratch, &mut labels);
-        labels
-    }
-
-    /// [`CompiledTree::predict_batch`] with caller-owned buffers: `out`
-    /// is cleared and filled with one label per row in input order; all
-    /// working memory comes from (and stays in) `scratch`, so a scoring
-    /// loop allocates only on its first and largest batch.
-    pub fn predict_batch_into(
-        &self,
-        block: &RecordBlock,
-        scratch: &mut BatchScratch,
-        out: &mut Vec<u16>,
-    ) {
-        /// Below this many rows, stop partitioning and walk each row down.
-        const TAIL_CUTOFF: usize = 8;
-        let n = block.n_rows();
-        out.clear();
-        out.resize(n, 0);
-        if n == 0 {
-            return;
-        }
-        // Resolve every column to a typed slice once per batch; the hot
-        // loops below index these directly (empty slice for the other
-        // type — unreachable for a well-typed tree/schema pair).
-        let n_attrs = block.n_columns();
-        let mut num_cols: Vec<&[f64]> = Vec::with_capacity(n_attrs);
-        let mut cat_cols: Vec<&[u32]> = Vec::with_capacity(n_attrs);
-        for a in 0..n_attrs {
-            match block.column(a) {
-                Column::Num(v) => {
-                    num_cols.push(v);
-                    cat_cols.push(&[]);
-                }
-                Column::Cat(v) => {
-                    num_cols.push(&[]);
-                    cat_cols.push(v);
-                }
-            }
-        }
-        // Validate the tree/block agreement ONCE, so the per-row loops
-        // below can use unchecked indexing:
-        //   * every attribute a `Num` node splits on is a numeric column
-        //     of length `n`, and likewise for `Cat` nodes — so
-        //     `col.get_unchecked(row)` is in bounds for any `row < n`;
-        //   * `rows` holds exactly the permutation of `0..n` (built here,
-        //     only ever swapped in place);
-        //   * node indices are in bounds by construction of `compile`
-        //     (`right[i] < n_nodes`, and `i + 1 < n_nodes` for internal
-        //     nodes, since preorder puts the left child at `i + 1`).
-        for &a in &self.num_attrs_used {
-            assert!(
-                num_cols.get(a as usize).is_some_and(|c| c.len() == n),
-                "tree splits numerically on attribute {a}, but the block's \
-                 column {a} is not numeric with {n} rows"
-            );
-        }
-        for &a in &self.cat_attrs_used {
-            assert!(
-                cat_cols.get(a as usize).is_some_and(|c| c.len() == n),
-                "tree splits categorically on attribute {a}, but the block's \
-                 column {a} is not categorical with {n} rows"
-            );
-        }
-        let BatchScratch { rows, stack } = scratch;
-        rows.clear();
-        rows.extend(0..n as u32);
-        stack.clear();
-        // Explicit DFS over (node, row range). Ranges index into `rows`,
-        // which is re-partitioned in place at every internal node with a
-        // two-pointer sweep (unstable — row order inside a range is
-        // irrelevant, since labels are written by row id).
-        stack.push((0, 0, n as u32));
-        while let Some((node, start, end)) = stack.pop() {
-            let (node, start, end) = (node as usize, start as usize, end as usize);
-            if end - start <= TAIL_CUTOFF && self.ops[node] != NodeOp::Leaf {
-                // SAFETY: column/row invariants validated at entry (above).
-                unsafe {
-                    self.descend_interleaved(&num_cols, &cat_cols, node, &rows[start..end], out);
-                }
-                continue;
-            }
-            match self.ops[node] {
-                NodeOp::Leaf => {
-                    let lab = self.label[node];
-                    for &r in &rows[start..end] {
-                        out[r as usize] = lab;
-                    }
-                }
-                NodeOp::Num => {
-                    let col = num_cols[self.split_attr[node] as usize];
-                    let t = self.threshold[node];
-                    // Two-pointer in-place partition: left-routed rows end
-                    // up in `start..l`, right-routed in `l..end`. NaN
-                    // fails `<=` and lands right — same rule as
-                    // `Predicate::matches`.
-                    let mut l = start;
-                    let mut r = end;
-                    while l < r {
-                        // SAFETY: `start <= l < r <= end <= rows.len()`,
-                        // and every `rows` value is `< n == col.len()`
-                        // (validated above).
-                        unsafe {
-                            let row = *rows.get_unchecked(l);
-                            if *col.get_unchecked(row as usize) <= t {
-                                l += 1;
-                            } else {
-                                r -= 1;
-                                *rows.get_unchecked_mut(l) = *rows.get_unchecked(r);
-                                *rows.get_unchecked_mut(r) = row;
-                            }
-                        }
-                    }
-                    if l < end {
-                        stack.push((self.right[node], l as u32, end as u32));
-                    }
-                    if start < l {
-                        stack.push((node as u32 + 1, start as u32, l as u32));
-                    }
-                }
-                NodeOp::Cat => {
-                    let col = cat_cols[self.split_attr[node] as usize];
-                    let mask = self.cat_mask[node];
-                    let mut l = start;
-                    let mut r = end;
-                    while l < r {
-                        // SAFETY: same bounds argument as the `Num` arm.
-                        unsafe {
-                            let row = *rows.get_unchecked(l);
-                            if (mask >> *col.get_unchecked(row as usize)) & 1 != 0 {
-                                l += 1;
-                            } else {
-                                r -= 1;
-                                *rows.get_unchecked_mut(l) = *rows.get_unchecked(r);
-                                *rows.get_unchecked_mut(r) = row;
-                            }
-                        }
-                    }
-                    if l < end {
-                        stack.push((self.right[node], l as u32, end as u32));
-                    }
-                    if start < l {
-                        stack.push((node as u32 + 1, start as u32, l as u32));
-                    }
-                }
-            }
-        }
-    }
-
     /// A canonical byte serialization of every table, in declaration
     /// order. Two compiled trees are byte-identical here iff their logical
     /// source trees are structurally equal — the form the model-IO and
@@ -546,20 +253,6 @@ impl CompiledTree {
     }
 }
 
-/// Reusable working buffers for [`CompiledTree::predict_batch_into`].
-///
-/// Holds the frontier row-id permutation, the right-side spill buffer,
-/// and the DFS stack. Buffers grow to the largest batch scored through
-/// them and are then reused allocation-free; one scratch per scoring
-/// thread (they are cheap and `Send`, not shared).
-#[derive(Debug, Default, Clone)]
-pub struct BatchScratch {
-    /// Row ids, re-partitioned in place as the frontier descends.
-    rows: Vec<u32>,
-    /// DFS worklist of `(node, start, end)` ranges.
-    stack: Vec<(u32, u32, u32)>,
-}
-
 /// Convenience free function: [`CompiledTree::compile`].
 pub fn compile(tree: &Tree) -> CompiledTree {
     CompiledTree::compile(tree)
@@ -568,16 +261,8 @@ pub fn compile(tree: &Tree) -> CompiledTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use boat_data::{Attribute, Field, Schema};
+    use boat_data::Field;
     use boat_tree::{CatSet, Split};
-
-    fn schema() -> Schema {
-        Schema::new(
-            vec![Attribute::numeric("x"), Attribute::categorical("c", 4)],
-            2,
-        )
-        .unwrap()
-    }
 
     fn rec(x: f64, c: u32) -> Record {
         Record::new(vec![Field::Num(x), Field::Cat(c)], 0)
@@ -649,34 +334,6 @@ mod tests {
             let r = rec(x, cat);
             assert_eq!(c.predict(&r), t.predict(&r), "x={x} c={cat}");
         }
-    }
-
-    #[test]
-    fn predict_batch_matches_predict_in_input_order() {
-        let t = sample_tree();
-        let c = CompiledTree::compile(&t);
-        let records: Vec<Record> = (0..64)
-            .map(|i| {
-                let x = if i % 13 == 0 {
-                    f64::NAN
-                } else {
-                    (i % 11) as f64
-                };
-                rec(x, (i % 4) as u32)
-            })
-            .collect();
-        let block = RecordBlock::from_records(&schema(), &records);
-        let batch = c.predict_batch(&block);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(batch[i], c.predict(r), "row {i}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let c = CompiledTree::compile(&sample_tree());
-        let block = RecordBlock::from_records(&schema(), &[]);
-        assert!(c.predict_batch(&block).is_empty());
     }
 
     #[test]

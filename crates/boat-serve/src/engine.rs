@@ -39,8 +39,6 @@
 //! per-shard intake depths (`serve.queue_depth` = sum over shards,
 //! `serve.shard.depth_max` = deepest shard).
 
-use crate::block::RecordBlock;
-use crate::compile::BatchScratch;
 use crate::handle::{ModelHandle, SnapshotReader};
 use crate::provenance::record_values;
 use crate::registry::{ModelEntry, ModelRegistry};
@@ -512,12 +510,11 @@ impl ServeEngine {
         // balances (every in-flight submit either lands its job — we
         // score it — or observes `closed` and rolls its count back).
         // No accepted ticket is ever dropped.
-        let mut scratch = BatchScratch::default();
         let mut readers: Vec<(u64, SnapshotReader)> = Vec::new();
         loop {
             for shard in &self.shared.shards {
                 while let Some(job) = shard.try_pop() {
-                    score_job(&self.shared, &mut scratch, &mut readers, job);
+                    score_job(&self.shared, &mut readers, job);
                 }
             }
             let accepted = self.shared.accepted.load(Ordering::Acquire);
@@ -560,21 +557,14 @@ fn reader_for<'a>(
 
 /// Score one job and fulfill its ticket. Shared between the worker loop
 /// and shutdown's final straggler sweep.
-fn score_job(
-    shared: &Shared,
-    scratch: &mut BatchScratch,
-    readers: &mut Vec<(u64, SnapshotReader)>,
-    job: Job,
-) {
+fn score_job(shared: &Shared, readers: &mut Vec<(u64, SnapshotReader)>, job: Job) {
     let records = job.payload.records();
     // One reader refresh per batch: the whole batch scores against one
     // consistent snapshot; a concurrent publish takes effect at the next
     // batch boundary. Steady state, this is a single atomic load.
-    let (tree, epoch, commit) = reader_for(readers, &job.entry).current_committed();
+    let (tree, epoch, commit) = reader_for(readers, &job.entry).current();
     let t0 = Instant::now();
-    let block = RecordBlock::from_records(job.entry.schema(), records);
-    let mut labels = Vec::new();
-    tree.predict_batch_into(&block, scratch, &mut labels);
+    let labels: Vec<u16> = records.iter().map(|r| tree.predict(r)).collect();
     // Proof generation rides the same snapshot as the labels: the commit
     // came out of the same publication record, so every proof verifies
     // against the commitment of the tree that produced the batch's labels.
@@ -599,9 +589,9 @@ fn score_job(
                     proofs: out,
                 })
             } else {
-                // A record the batch scorer accepted but the prover
-                // rejects (out-of-range category code) — surface as a
-                // counted miss, not a torn half-proved batch.
+                // A record the scorer accepted but the prover rejects
+                // (submit validation already bars out-of-domain codes) —
+                // surface as a counted miss, not a torn half-proved batch.
                 shared.m.proof_failures.inc();
                 None
             }
@@ -628,14 +618,12 @@ fn score_job(
 }
 
 fn worker_loop(shared: &Shared, shard_idx: usize) {
-    // Per-worker scoring buffers and snapshot readers, reused across
-    // every batch this worker ever scores (allocation-free steady state
-    // apart from the label vector each ticket takes ownership of).
-    let mut scratch = BatchScratch::default();
+    // Per-worker snapshot readers, reused across every batch this worker
+    // ever scores.
     let mut readers: Vec<(u64, SnapshotReader)> = Vec::new();
     let shard = &shared.shards[shard_idx];
     while let Some(job) = shard.pop_or_park(&shared.closed) {
-        score_job(shared, &mut scratch, &mut readers, job);
+        score_job(shared, &mut readers, job);
         shared.update_depth_gauges();
     }
 }
@@ -927,6 +915,25 @@ mod tests {
         assert!(matches!(
             engine
                 .submit(vec![Record::new(vec![Field::Num(1.0), Field::Num(2.0)], 0)])
+                .unwrap_err(),
+            DataError::Schema(_)
+        ));
+        engine.shutdown();
+
+        // A category code outside the model's `< 64` domain is rejected
+        // at submit, before a worker ever shifts the split mask by it.
+        let cat_schema = Arc::new(Schema::new(vec![Attribute::categorical("c", 4)], 2).unwrap());
+        let engine = ServeEngine::start(
+            ModelHandle::new(compile(&Tree::leaf(vec![1, 0]))),
+            cat_schema,
+            ServeConfig {
+                workers: 1,
+                queue_depth: 8,
+            },
+        );
+        assert!(matches!(
+            engine
+                .submit(vec![Record::new(vec![Field::Cat(65)], 0)])
                 .unwrap_err(),
             DataError::Schema(_)
         ));

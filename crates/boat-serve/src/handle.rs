@@ -263,19 +263,13 @@ impl SnapshotReader {
         }
     }
 
-    /// The current `(snapshot, epoch)` pair. One atomic load on the fast
-    /// path; refreshes from the publication record when the epoch moved.
+    /// The current `(snapshot, epoch, commit)` triple — the epoch's
+    /// Merkle commit is present when the publisher supplied one. All
+    /// three come from the same publication record, never torn. One
+    /// atomic load on the fast path; refreshes from the publication
+    /// record when the epoch moved.
     #[inline]
-    pub fn current(&mut self) -> (&Arc<CompiledTree>, u64) {
-        self.refresh();
-        (&self.cached.tree, self.cached.epoch)
-    }
-
-    /// Like [`SnapshotReader::current`], additionally exposing the
-    /// epoch's Merkle commit (when the publisher supplied one) — all
-    /// three from the same publication record, never torn.
-    #[inline]
-    pub fn current_committed(&mut self) -> (&Arc<CompiledTree>, u64, Option<&Arc<TreeCommit>>) {
+    pub fn current(&mut self) -> (&Arc<CompiledTree>, u64, Option<&Arc<TreeCommit>>) {
         self.refresh();
         (
             &self.cached.tree,
@@ -372,13 +366,13 @@ mod tests {
         let mut reader = handle.reader();
         let r = boat_data::Record::new(vec![boat_data::Field::Num(0.0)], 0);
         {
-            let (tree, epoch) = reader.current();
+            let (tree, epoch, _) = reader.current();
             assert_eq!((tree.predict(&r), epoch), (0, 0));
         }
         // Unchanged hint: repeated reads stay on the cached snapshot.
         assert_eq!(reader.current().1, 0);
         handle.publish(leaf(vec![0, 1]));
-        let (tree, epoch) = reader.current();
+        let (tree, epoch, _) = reader.current();
         assert_eq!((tree.predict(&r), epoch), (1, 1));
         assert_eq!(reader.cached_epoch(), 1);
     }
@@ -401,7 +395,7 @@ mod tests {
                     let mut reader = handle.reader();
                     let mut last = 0u64;
                     for _ in 0..2_000 {
-                        let (_, epoch) = reader.current();
+                        let (_, epoch, _) = reader.current();
                         assert!(epoch >= last, "reader epoch went backwards");
                         last = epoch;
                     }
@@ -420,12 +414,12 @@ mod tests {
         let handle = ModelHandle::with_metrics_committed(first, commit, Registry::new());
         assert_eq!(handle.commitment(), Some(root));
         let mut reader = handle.reader();
-        assert_eq!(reader.current_committed().2.map(|c| c.root()), Some(root));
+        assert_eq!(reader.current().2.map(|c| c.root()), Some(root));
 
         // A plain publish drops the commitment (no stale root survives).
         handle.publish(leaf(vec![0, 9]));
         assert_eq!(handle.commitment(), None);
-        assert_eq!(reader.current_committed().2.map(|c| c.root()), None);
+        assert_eq!(reader.current().2.map(|c| c.root()), None);
 
         // A committed publish swaps tree + commit together.
         let next = leaf(vec![2, 2]);
@@ -433,7 +427,7 @@ mod tests {
         let next_root = next_commit.root();
         let epoch = handle.publish_committed(next, next_commit);
         assert_eq!(epoch, 2);
-        let (_, epoch, commit) = reader.current_committed();
+        let (_, epoch, commit) = reader.current();
         assert_eq!((epoch, commit.map(|c| c.root())), (2, Some(next_root)));
     }
 

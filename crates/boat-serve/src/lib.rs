@@ -5,16 +5,15 @@
 //! into a cache-friendly immutable form, and serves predictions from
 //! many threads while maintenance keeps running in the background.
 //!
-//! Three layers, composable but independently usable:
+//! Four layers, composable but independently usable:
 //!
 //! 1. **Compiler** ([`compile`] → [`CompiledTree`]): flattens a
 //!    [`boat_tree::Tree`] into structure-of-arrays node tables in
 //!    preorder (left child adjacent at `i + 1`, only the right child
-//!    stored), with categorical splits as 64-bit subset masks. Scalar
+//!    stored), with categorical splits as 64-bit subset masks.
 //!    [`CompiledTree::predict`] replicates `Tree::predict` exactly —
 //!    including the pinned NaN / unseen-category routing contract —
-//!    and [`CompiledTree::predict_batch`] scores a columnar
-//!    [`RecordBlock`] attribute-major via frontier partitioning.
+//!    and is the one compiled scoring path.
 //! 2. **Publication** ([`ModelHandle`]): epoch-stamped atomic snapshot
 //!    swapping. A per-thread [`SnapshotReader`]'s steady-state read is
 //!    **one atomic load** — no lock, no refcount traffic;
@@ -41,7 +40,6 @@
 //! `Tree::predict` on every input.
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod compile;
 pub mod engine;
 pub mod handle;
@@ -50,8 +48,7 @@ pub mod registry;
 mod shard;
 pub mod streaming;
 
-pub use block::{Column, RecordBlock};
-pub use compile::{compile, BatchScratch, CompiledTree, NodeOp};
+pub use compile::{compile, CompiledTree, NodeOp};
 pub use engine::{ScoredProofs, ServeConfig, ServeEngine, Ticket};
 pub use handle::{publish_on_maintain, ModelHandle, SnapshotReader};
 pub use provenance::{

@@ -52,8 +52,12 @@ impl ModelEntry {
     }
 
     /// Check `records` against this entry's schema: every record must
-    /// have one field per attribute with matching types. Returns
-    /// [`DataError::Schema`] naming the first offending record.
+    /// have one field per attribute with matching types, and every
+    /// category code must lie in the model's domain (`< 64`, the
+    /// splitting-subset mask width). Codes `< 64` above the attribute's
+    /// cardinality are accepted — they route right like any code unseen
+    /// at training time. Returns [`DataError::Schema`] naming the first
+    /// offending record.
     pub fn validate(&self, records: &[Record]) -> Result<()> {
         let attrs = self.schema.attributes();
         for (row, r) in records.iter().enumerate() {
@@ -77,6 +81,13 @@ impl ModelEntry {
                          attribute '{}'",
                         self.key,
                         attr.name()
+                    )));
+                }
+                if let Field::Cat(c @ 64..) = field {
+                    return Err(DataError::Schema(format!(
+                        "model '{}': record {row} field {col} has category code {c}, \
+                         outside the model's domain (codes must be < 64)",
+                        self.key
                     )));
                 }
             }
@@ -223,6 +234,14 @@ mod tests {
         let cat = reg.register("c", handle(), schema_cat());
         let err = cat
             .validate(&[Record::new(vec![Field::Num(0.5)], 0)])
+            .unwrap_err();
+        assert!(matches!(err, DataError::Schema(_)));
+        // Category code outside the 64-bit mask domain; codes above the
+        // cardinality but below 64 stay accepted (they route right).
+        cat.validate(&[Record::new(vec![Field::Cat(63)], 0)])
+            .unwrap();
+        let err = cat
+            .validate(&[Record::new(vec![Field::Cat(64)], 0)])
             .unwrap_err();
         assert!(matches!(err, DataError::Schema(_)));
     }

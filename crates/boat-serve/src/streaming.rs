@@ -184,7 +184,7 @@ mod tests {
         let start_epoch = handle.epoch();
         assert!(start_epoch >= 1, "current tree published before spawn");
         let mut reader = handle.reader();
-        let (_, e0) = reader.current();
+        let (_, e0, _) = reader.current();
         assert_eq!(e0, start_epoch);
         // Stream enough records to trip the record-count trigger.
         for batch in 0..4 {

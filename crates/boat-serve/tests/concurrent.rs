@@ -9,9 +9,7 @@
 use boat_core::{reference_tree, Boat, BoatConfig};
 use boat_data::{MemoryDataset, Record, Schema};
 use boat_datagen::{GeneratorConfig, LabelFunction};
-use boat_serve::{
-    compile, publish_on_maintain, ModelHandle, RecordBlock, ServeConfig, ServeEngine,
-};
+use boat_serve::{compile, publish_on_maintain, ModelHandle, ServeConfig, ServeEngine};
 use boat_tree::{Gini, GrowthLimits};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,8 +32,8 @@ fn mem(schema: &Arc<Schema>, records: Vec<Record>) -> MemoryDataset {
 
 /// Predict every probe against one snapshot; the resulting vector is the
 /// snapshot's "fingerprint" for torn-state detection.
-fn fingerprint(tree: &boat_serve::CompiledTree, schema: &Schema, probes: &[Record]) -> Vec<u16> {
-    tree.predict_batch(&RecordBlock::from_records(schema, probes))
+fn fingerprint(tree: &boat_serve::CompiledTree, probes: &[Record]) -> Vec<u16> {
+    probes.iter().map(|r| tree.predict(r)).collect()
 }
 
 /// Readers hammering `snapshot_with_epoch` while maintenance publishes:
@@ -61,7 +59,7 @@ fn readers_observe_only_pre_or_post_maintenance_trees() {
     // placeholder, so readers start at epoch 1.
     assert_eq!(epoch0, 1);
 
-    let pre = fingerprint(&handle.snapshot(), &schema, &probes);
+    let pre = fingerprint(&handle.snapshot(), &probes);
 
     // Stream the update in *before* starting readers (absorption mutates
     // the model single-threadedly); maintenance — the phase the paper
@@ -75,13 +73,12 @@ fn readers_observe_only_pre_or_post_maintenance_trees() {
         for _ in 0..4 {
             let handle = handle.clone();
             let stop = Arc::clone(&stop);
-            let schema = &schema;
             let probes = &probes;
             joins.push(s.spawn(move || {
                 let mut seen = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     let (snap, epoch) = handle.snapshot_with_epoch();
-                    seen.push((epoch, fingerprint(&snap, schema, probes)));
+                    seen.push((epoch, fingerprint(&snap, probes)));
                 }
                 seen
             }));
@@ -94,7 +91,7 @@ fn readers_observe_only_pre_or_post_maintenance_trees() {
     });
 
     assert_eq!(handle.epoch(), 2, "maintain must have published once");
-    let post = fingerprint(&handle.snapshot(), &schema, &probes);
+    let post = fingerprint(&handle.snapshot(), &probes);
     let mut n_obs = 0usize;
     for (epoch, fp) in observations.into_iter().flatten() {
         n_obs += 1;
@@ -197,7 +194,7 @@ fn serve_engine_batches_are_never_torn_across_a_swap() {
             2 => &post_tree,
             e => panic!("batch scored under impossible epoch {e}"),
         };
-        let expected = fingerprint(expect_tree, &schema, &batch);
+        let expected = fingerprint(expect_tree, &batch);
         assert_eq!(preds, expected, "batch scored under epoch {epoch} is torn");
     }
 }

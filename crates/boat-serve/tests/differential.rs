@@ -13,24 +13,17 @@
 
 use boat_core::{reference_tree, Boat, BoatConfig};
 use boat_data::{AttrType, Attribute, Field, MemoryDataset, Record, Schema};
-use boat_serve::{compile, RecordBlock};
+use boat_serve::{compile, ModelHandle, ServeConfig, ServeEngine};
 use boat_tree::{Gini, GrowthLimits};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Assert compiled == interpreted on every probe, both per-record and
-/// through the columnar batch path.
-fn assert_exact(tree: &boat_tree::Tree, schema: &Schema, probes: &[Record]) {
+/// Assert compiled == interpreted on every probe.
+fn assert_exact(tree: &boat_tree::Tree, probes: &[Record]) {
     let compiled = compile(tree);
     let scalar: Vec<u16> = probes.iter().map(|r| compiled.predict(r)).collect();
     let oracle: Vec<u16> = probes.iter().map(|r| tree.predict(r)).collect();
     assert_eq!(scalar, oracle, "scalar compiled predictions diverge");
-    let block = RecordBlock::from_records(schema, probes);
-    assert_eq!(
-        compiled.predict_batch(&block),
-        oracle,
-        "batched compiled predictions diverge"
-    );
 }
 
 /// Build a record conforming to `schema` from one numeric value, one raw
@@ -97,7 +90,7 @@ proptest! {
                 record_for(&schema, v, c, (i % classes as usize) as u16, u32::MAX)
             })
             .collect();
-        assert_exact(&tree, &schema, &probe_records);
+        assert_exact(&tree, &probe_records);
     }
 }
 
@@ -113,14 +106,13 @@ fn compiled_matches_interpreted_on_synthetic_grid() {
         (LabelFunction::F7, 77),
     ] {
         let gen = GeneratorConfig::new(function).with_seed(seed);
-        let schema = gen.schema();
-        let ds = MemoryDataset::new(schema.clone(), gen.generate_vec(3_000));
+        let ds = MemoryDataset::new(gen.schema(), gen.generate_vec(3_000));
         let tree = reference_tree(&ds, Gini, GrowthLimits::default()).unwrap();
         assert!(tree.n_nodes() > 1, "{function:?}: tree did not split");
         let probes = GeneratorConfig::new(function)
             .with_seed(seed + 1000)
             .generate_vec(2_000);
-        assert_exact(&tree, &schema, &probes);
+        assert_exact(&tree, &probes);
     }
 }
 
@@ -131,8 +123,7 @@ fn compiled_matches_interpreted_on_synthetic_grid() {
 fn compiled_matches_interpreted_through_boat_fit_model() {
     use boat_datagen::{GeneratorConfig, LabelFunction};
     let gen = GeneratorConfig::new(LabelFunction::F1).with_seed(81);
-    let schema = gen.schema();
-    let ds = MemoryDataset::new(schema.clone(), gen.generate_vec(4_000));
+    let ds = MemoryDataset::new(gen.schema(), gen.generate_vec(4_000));
     let algo = Boat::new(BoatConfig {
         sample_size: 1_000,
         bootstrap_reps: 8,
@@ -147,12 +138,12 @@ fn compiled_matches_interpreted_through_boat_fit_model() {
     let probes = GeneratorConfig::new(LabelFunction::F1)
         .with_seed(82)
         .generate_vec(2_000);
-    assert_exact(&tree, &schema, &probes);
+    assert_exact(&tree, &probes);
 }
 
-/// Batch scoring must agree with scalar scoring on pathological batch
-/// shapes: empty, single-row, and a batch where every row reaches the
-/// same leaf.
+/// Engine scoring must agree with the interpreted tree on pathological
+/// batch shapes: empty, single-row, and a batch where every row reaches
+/// the same leaf.
 #[test]
 fn batch_edge_shapes_match_scalar() {
     let schema: Arc<Schema> = Schema::shared(
@@ -170,20 +161,28 @@ fn batch_edge_shapes_match_scalar() {
         .collect();
     let ds = MemoryDataset::new(schema.clone(), records);
     let tree = reference_tree(&ds, Gini, GrowthLimits::default()).unwrap();
-    let compiled = compile(&tree);
-
-    // Empty batch.
-    let empty = RecordBlock::from_records(&schema, &[]);
-    assert_eq!(compiled.predict_batch(&empty), Vec::<u16>::new());
-
-    // Single row.
-    let one = vec![Record::new(vec![Field::Num(3.0), Field::Cat(7)], 0)];
-    assert_exact(&tree, &schema, &one);
-
-    // Degenerate batch: all rows identical (one frontier partition side
-    // is empty at every split).
+    let engine = ServeEngine::start(
+        ModelHandle::new(compile(&tree)),
+        schema,
+        ServeConfig {
+            workers: 1,
+            queue_depth: 8,
+        },
+    );
     let same: Vec<Record> = (0..64)
         .map(|_| Record::new(vec![Field::Num(12.0), Field::Cat(1)], 0))
         .collect();
-    assert_exact(&tree, &schema, &same);
+    for batch in [
+        // Empty batch.
+        Vec::new(),
+        // Single row.
+        vec![Record::new(vec![Field::Num(3.0), Field::Cat(7)], 0)],
+        // Degenerate batch: all rows identical (every row reaches the
+        // same leaf).
+        same,
+    ] {
+        let oracle: Vec<u16> = batch.iter().map(|r| tree.predict(r)).collect();
+        assert_eq!(engine.submit(batch).unwrap().wait(), oracle);
+    }
+    engine.shutdown();
 }
